@@ -276,14 +276,16 @@ type Cover struct {
 	dirty    bool
 	released bool
 	// slots mirrors the cover's registration in each covered cell's
-	// watcher list; slot indices are kept current under swap-removal.
-	slots []coverSlot
+	// watcher list: slots[i] is this cover's index in the list of the
+	// i-th cell of the box in row-major order (cellAt), kept current
+	// under swap-removal. The cell key itself is derived, not stored.
+	slots []int32
 }
 
-// coverSlot records where in cell key's watcher list this cover sits.
-type coverSlot struct {
-	key   cellKey
-	index int
+// cellAt returns the i-th cell of the cover's box in row-major order.
+func (c *Cover) cellAt(i int) cellKey {
+	w := c.hi.X - c.lo.X + 1
+	return cellKey{X: c.lo.X + i%w, Y: c.lo.Y + i/w}
 }
 
 // Cells returns the number of cells the cover spans.
@@ -310,12 +312,12 @@ func (g *Grid) CoverFor(center Point, radius float64) *Cover {
 		hi:     cellKey{X: hi.X + 1, Y: hi.Y + 1},
 		radius: radius,
 	}
-	c.slots = make([]coverSlot, 0, c.Cells())
+	c.slots = make([]int32, 0, c.Cells())
 	for cy := c.lo.Y; cy <= c.hi.Y; cy++ {
 		for cx := c.lo.X; cx <= c.hi.X; cx++ {
 			k := cellKey{X: cx, Y: cy}
 			list := g.watchers[k]
-			c.slots = append(c.slots, coverSlot{key: k, index: len(list)})
+			c.slots = append(c.slots, int32(len(list)))
 			g.watchers[k] = append(list, watcherRef{cover: c, slot: len(c.slots) - 1})
 		}
 	}
@@ -369,17 +371,18 @@ func (g *Grid) Release(c *Cover) {
 		return
 	}
 	c.released = true
-	for _, s := range c.slots {
-		list := g.watchers[s.key]
+	for i, index := range c.slots {
+		key := c.cellAt(i)
+		list := g.watchers[key]
 		last := len(list) - 1
 		moved := list[last]
-		list[s.index] = moved
-		moved.cover.slots[moved.slot].index = s.index
+		list[index] = moved
+		moved.cover.slots[moved.slot] = index
 		list = list[:last]
 		if len(list) == 0 {
-			delete(g.watchers, s.key)
+			delete(g.watchers, key)
 		} else {
-			g.watchers[s.key] = list
+			g.watchers[key] = list
 		}
 	}
 	c.slots = nil

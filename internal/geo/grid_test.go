@@ -352,3 +352,47 @@ func TestVisitCoverIsSupersetOfCircle(t *testing.T) {
 		g.Release(cover)
 	}
 }
+
+// TestCoverReleaseOverlappingBoxes releases covers whose boxes overlap
+// only partly, in an order that swap-moves registrations of the
+// survivors: each release must drop exactly its own cells (the cell key
+// is derived from the slot's row-major position), and every survivor
+// must still be marked dirty by a change in any of its cells.
+func TestCoverReleaseOverlappingBoxes(t *testing.T) {
+	g := NewGrid(10)
+	centers := []Point{Pt(5, 5), Pt(25, 5), Pt(15, 35), Pt(-15, -5), Pt(45, 45)}
+	covers := make([]*Cover, len(centers))
+	total := 0
+	for i, c := range centers {
+		covers[i] = g.CoverFor(c, 12)
+		total += covers[i].Cells()
+	}
+	if g.Watchers() != total {
+		t.Fatalf("watchers = %d, want %d", g.Watchers(), total)
+	}
+	for _, i := range []int{2, 0, 4} {
+		total -= covers[i].Cells()
+		g.Release(covers[i])
+		if g.Watchers() != total {
+			t.Fatalf("after releasing cover %d: watchers = %d, want %d", i, g.Watchers(), total)
+		}
+	}
+	for _, i := range []int{1, 3} {
+		c := covers[i]
+		for j := range c.slots {
+			k := c.cellAt(j)
+			g.Refresh(c)
+			id := 1000 + j
+			g.Insert(id, Pt(float64(k.X)*10+1, float64(k.Y)*10+1))
+			if g.CoverValid(c, centers[i]) {
+				t.Fatalf("cover %d missed an insert into its cell %v", i, k)
+			}
+			g.Remove(id)
+		}
+	}
+	g.Release(covers[1])
+	g.Release(covers[3])
+	if g.Watchers() != 0 {
+		t.Fatalf("watchers leaked: %d", g.Watchers())
+	}
+}

@@ -99,7 +99,7 @@ func (m *Medium) faultLossDB(src, rx *Radio) float64 {
 // membership never depends on fault loss, only the exact gains do).
 func (m *Medium) invalidateLinkGains() {
 	for _, r := range m.ordered {
-		r.linkGen++
+		r.bumpLinkGen()
 	}
 	m.physGen++
 }

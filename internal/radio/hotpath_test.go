@@ -131,6 +131,30 @@ func TestGainCacheInvalidatesOnMoveAndPower(t *testing.T) {
 	}
 }
 
+// TestGainCacheLinkGenWrap: the cache stamps are 32-bit, so a wrap of
+// a radio's link generation must not let an entry stamped 2^32 bumps
+// ago read as fresh — on either end of the pair.
+func TestGainCacheLinkGenWrap(t *testing.T) {
+	_, m := newMedium(1)
+	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
+	b := m.NewRadio("b", geo.Pt(10, 0), 6, 15)
+	near := m.MeasureRSSI(a, b) // stamped at linkGen 1 on both ends
+	b.linkGen = math.MaxUint32  // as if b had moved 2^32-2 times since
+	b.SetPos(geo.Pt(40, 0))     // wraps back to 1: the stale stamp again
+	if b.linkGen != 1 {
+		t.Fatalf("linkGen after wrap = %d, want 1", b.linkGen)
+	}
+	if far := m.MeasureRSSI(a, b); far >= near {
+		t.Fatalf("receiver wrap served a stale gain: near=%v after move=%v", near, far)
+	}
+	back := m.MeasureRSSI(b, a) // b's own row, stamped at b.linkGen 1
+	b.linkGen = math.MaxUint32
+	b.SetPos(geo.Pt(10, 0))
+	if again := m.MeasureRSSI(b, a); again <= back {
+		t.Fatalf("sender wrap served a stale gain: far=%v after move back=%v", back, again)
+	}
+}
+
 // TestMediumDenseAllocsBudget is the allocation regression guard for
 // the BenchmarkMediumDense* workload shape: after warmup, a burst of 64
 // overlapping transmissions across a dense indexed medium must stay

@@ -275,21 +275,29 @@ type Radio struct {
 	candChanSum uint64
 	candCover   *geo.Cover
 
-	// linkGen versions this radio's position for the pairwise gain
-	// cache: every actual position change bumps it, so cached link
-	// gains involving this radio (as transmitter or receiver) are
-	// revalidated with two integer compares. Starts at 1 so the
-	// zero-valued cache entry is never considered fresh.
-	linkGen uint64
+	// linkGen versions this radio's link budget for the pairwise gain
+	// cache: every actual position change, transmit-power change
+	// (gainPower), and fault-window toggle bumps it (bumpLinkGen), so
+	// cached link gains involving this radio (as transmitter or
+	// receiver) are revalidated with two integer compares. Starts at 1
+	// so the zero-valued cache entry is never considered fresh; the
+	// 32-bit stamp skips 0 on wrap and clears the stamps it could alias.
+	linkGen uint32
+
+	// gainPower is the TxPowerDBm the current linkGen was stamped at.
+	// TxPowerDBm is a plain field, so linkGain compares the two and
+	// bumps linkGen on a mismatch instead of storing the power in every
+	// cache entry.
+	gainPower float64
 
 	// gainTo caches, per receiver radio ID, the received power of this
 	// radio's signal in both dBm and linear milliwatts, so the
 	// per-pair delivery, interference, and energy loops do zero
 	// math.Pow/math.Log10 for unmoved pairs. Entries are revalidated
-	// against both ends' linkGen and this radio's TxPowerDBm. In
-	// sharded mode the row is region-owned state: the radio belongs to
-	// exactly one region, and during a parallel phase only the worker
-	// owning a receiver's region writes that receiver's entry.
+	// against both ends' linkGen. In sharded mode the row is
+	// region-owned state: the radio belongs to exactly one region, and
+	// during a parallel phase only the worker owning a receiver's
+	// region writes that receiver's entry.
 	gainTo []pairGain
 
 	// region is the index of the arena region owning this radio's
@@ -307,15 +315,45 @@ type Radio struct {
 }
 
 // pairGain is one directed cached link budget: the received power at
-// one receiver for this transmitter's current position, power, and the
-// receiver's current position. Fading (wall loss, frozen shadow draws)
-// is position-determined, so the pair of linkGens plus the transmit
-// power fully key the value.
+// one receiver for this transmitter's current position and power and
+// the receiver's current position. Fading (wall loss, frozen shadow
+// draws) is position-determined and transmit power is folded into the
+// transmitter's linkGen, so the pair of linkGens fully keys the value.
+// 24 bytes: the row is dense, O(radios) per transmitting radio.
 type pairGain struct {
-	srcGen, rxGen uint64
-	srcPower      float64
+	srcGen, rxGen uint32
 	mw            float64 // received power, linear milliwatts
 	rssi          float64 // received power, dBm
+}
+
+// bumpLinkGen marks every cached link gain to and from r stale. When
+// the 32-bit stamp wraps it restarts at 1 and clears the stamps that
+// could alias a future generation: r's own row and r's column in every
+// attached radio's row — O(radios), once per 2^32 bumps.
+func (r *Radio) bumpLinkGen() {
+	r.linkGen++
+	if r.linkGen != 0 {
+		return
+	}
+	r.linkGen = 1
+	clear(r.gainTo)
+	if m := r.medium; m != nil {
+		for _, o := range m.ordered {
+			if r.ID < len(o.gainTo) {
+				o.gainTo[r.ID] = pairGain{}
+			}
+		}
+	}
+}
+
+// syncGainPower folds a direct TxPowerDBm write into r's linkGen. It
+// runs on every sequential linkGain and, for the sharded phases, on the
+// coordinator before workers look gains up (presizeGainRow).
+func (r *Radio) syncGainPower() {
+	if r.gainPower != r.TxPowerDBm {
+		r.gainPower = r.TxPowerDBm
+		r.bumpLinkGen()
+	}
 }
 
 // SetPos moves the radio, keeping the medium's spatial index in sync.
@@ -332,7 +370,7 @@ func (r *Radio) SetPos(p geo.Point) {
 		return
 	}
 	r.Pos = p
-	r.linkGen++ // all cached link gains to and from this radio are stale
+	r.bumpLinkGen() // all cached link gains to and from this radio are stale
 	m := r.medium
 	if m == nil {
 		return
@@ -612,6 +650,7 @@ func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm fl
 		CSThresholdDBm: -82,
 		medium:         m,
 		linkGen:        1,
+		gainPower:      txPowerDBm,
 	}
 	for len(m.byID) <= r.ID {
 		m.byID = append(m.byID, nil)
@@ -861,15 +900,15 @@ func (s byIDOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 // src, in linear milliwatts and dBm, through the per-pair cache. The
 // value is exactly DBmToMilliwatts(env.ReceivedPowerDBm(...)) — the
 // cache only removes the math.Pow/math.Log10 recomputation for pairs
-// whose endpoints have not moved (linkGen) and whose transmit power is
-// unchanged, so every downstream sum is bit-identical to the uncached
+// whose endpoints have not moved and whose transmit power is unchanged
+// (linkGen), so every downstream sum is bit-identical to the uncached
 // path. Environment propagation parameters (exponent, walls, shadow
 // sigma) are build-time constants of a run; deterministic shadow draws
 // happen on first computation exactly as they would uncached.
 //
 // Memory: each transmitting radio's row is sized to the full radio
-// count on first use, so the cache is O(radios²) worst case — 40 bytes
-// per directed pair, ~40 MB at 1000 radios (see README "Performance").
+// count on first use, so the cache is O(radios²) worst case — 24 bytes
+// per directed pair, ~24 MB at 1000 radios (see README "Performance").
 // The spatial cutoff keeps the *computed* pair set local, but the row
 // itself is dense for O(1) indexing.
 func (m *Medium) linkGain(src, rx *Radio) (mw, rssi float64) {
@@ -878,8 +917,11 @@ func (m *Medium) linkGain(src, rx *Radio) (mw, rssi float64) {
 		copy(grown, src.gainTo)
 		src.gainTo = grown
 	}
+	if !m.parallelPhase {
+		src.syncGainPower()
+	}
 	g := &src.gainTo[rx.ID]
-	if g.srcGen == src.linkGen && g.rxGen == rx.linkGen && g.srcPower == src.TxPowerDBm {
+	if g.srcGen == src.linkGen && g.rxGen == rx.linkGen {
 		if !m.parallelPhase {
 			m.GainHits++
 		}
@@ -896,7 +938,7 @@ func (m *Medium) linkGain(src, rx *Radio) (mw, rssi float64) {
 		rssi -= m.faultLossDB(src, rx)
 	}
 	mw = env.DBmToMilliwatts(rssi)
-	*g = pairGain{srcGen: src.linkGen, rxGen: rx.linkGen, srcPower: src.TxPowerDBm, mw: mw, rssi: rssi}
+	*g = pairGain{srcGen: src.linkGen, rxGen: rx.linkGen, mw: mw, rssi: rssi}
 	return mw, rssi
 }
 

@@ -543,6 +543,7 @@ func (m *Medium) shardReady() bool {
 // the row growth themselves (a shared-slice reallocation would race).
 // The growth is exactly the one linkGain would perform.
 func (m *Medium) presizeGainRow(src *Radio) {
+	src.syncGainPower() // workers never write src's linkGen
 	if m.nextID >= len(src.gainTo) {
 		grown := make([]pairGain, m.nextID+1)
 		copy(grown, src.gainTo)
