@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,11 +47,16 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
-// Record is the checked-in benchmark trajectory file format.
+// Record is the checked-in benchmark trajectory file format. NProc is
+// the recording host's CPU count and GOMAXPROCS the benchmarks' own
+// (from their -N name suffix; 1 when go test printed none): an ns/op
+// baseline only means something next to the host that produced it.
 type Record struct {
 	Note       string   `json:"note,omitempty"`
 	Go         string   `json:"go,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	NProc      int      `json:"nproc,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -105,6 +111,8 @@ func runEmit(out, in, note string) error {
 		return fmt.Errorf("no benchmark lines found in input")
 	}
 	rec.Note = note
+	rec.Go = runtime.Version()
+	rec.NProc = runtime.NumCPU()
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
@@ -134,9 +142,12 @@ func Parse(r io.Reader) (*Record, error) {
 			rec.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 			continue
 		}
-		res, ok := parseLine(line)
+		res, procs, ok := parseLine(line)
 		if !ok {
 			continue
+		}
+		if rec.GOMAXPROCS == 0 {
+			rec.GOMAXPROCS = procs
 		}
 		prev, seen := byName[res.Name]
 		if !seen {
@@ -169,22 +180,24 @@ func Parse(r io.Reader) (*Record, error) {
 //	BenchmarkName-8   324   6614089 ns/op   81664 B/op   170 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped so records are comparable across
-// machines with different core counts.
-func parseLine(line string) (Result, bool) {
+// machines with different core counts, and returned as procs (1 when
+// absent: go test omits the suffix at GOMAXPROCS=1).
+func parseLine(line string) (res Result, procs int, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Result{}, false
+		return Result{}, 0, false
 	}
 	name := fields[0]
+	procs = 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	if _, err := strconv.Atoi(fields[1]); err != nil {
-		return Result{}, false // not an iteration count: not a result line
+		return Result{}, 0, false // not an iteration count: not a result line
 	}
-	res := Result{Name: name, Runs: 1}
+	res = Result{Name: name, Runs: 1}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -200,9 +213,9 @@ func parseLine(line string) (Result, bool) {
 		}
 	}
 	if res.NsPerOp == 0 {
-		return Result{}, false
+		return Result{}, 0, false
 	}
-	return res, true
+	return res, procs, true
 }
 
 func load(path string) (*Record, error) {

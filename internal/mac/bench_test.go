@@ -52,3 +52,33 @@ func BenchmarkUnicastRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMACContention is the MAC's gated benchmark: 32 saturated
+// stations within carrier-sense range of each other on one channel,
+// each sending 16 unicast frames to a common sink, run to completion.
+// Contention dominates: backoff countdowns, freezes and deferrals. The
+// seed is fixed, so every op is the same simulation and allocs/op is
+// exact; events/op reports the kernel events one run takes.
+func BenchmarkMACContention(b *testing.B) {
+	b.ReportAllocs()
+	var steps uint64
+	for i := 0; i < b.N; i++ {
+		k := sim.New(1)
+		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+		med := radio.NewMedium(k, e)
+		m := New(med, Config{})
+		sink := m.AddStation(med.NewRadio("sink", geo.Pt(50, 50), 6, 15))
+		for s := 0; s < 32; s++ {
+			st := m.AddStation(med.NewRadio("tx", geo.Pt(float64(35+s%8*4), float64(40+s/8*4)), 6, 15))
+			for f := 0; f < 16; f++ {
+				_ = st.Send(sink.Addr(), 8000, nil, nil)
+			}
+		}
+		k.Run()
+		if sink.DeliveredUp == 0 {
+			b.Fatal("nothing delivered")
+		}
+		steps = k.Steps()
+	}
+	b.ReportMetric(float64(steps), "events/op")
+}

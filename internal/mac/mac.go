@@ -5,6 +5,26 @@
 //
 // The backoff policy is pluggable (binary exponential vs fixed window) so
 // the device-density experiment (C2) can ablate the design choice.
+//
+// # Event-driven carrier sense
+//
+// DCF is specified slot by slot: a station counting down its backoff
+// checks the medium at every 20 µs slot boundary and freezes on the
+// first busy one, and a deferring station re-checks every slot until
+// the medium is idle. The MAC keeps those exact slot boundaries but
+// does not poll them. A countdown of n slots started at t0 schedules a
+// single mac.backoffDone at t0+n·SlotTime and registers the job as a
+// carrier-sense watcher on its radio (radio.Medium.WatchSense); the
+// medium wakes it only when the sensed energy can rise — a hearer's
+// frame becoming detectable, a move, a retune, a fault window — and a
+// wake schedules one mac.csCheck at the first boundary of the
+// countdown's own grid at or after the wake instant. A deferral does
+// the same with falling edges (a hearer's frame ending, a move, a
+// retune, a fault window). Between edges the energy sum can only move
+// the other way, so every skipped boundary would have read the same as
+// the last check: the state machine takes the transitions polling would,
+// at the same boundaries. Only the order of events that fall at the
+// same instant differs.
 package mac
 
 import (
@@ -95,13 +115,15 @@ type MAC struct {
 	// counters so telemetry reads one field instead of iterating the
 	// stations map. Observability-only: absent from ExportState and
 	// every digest input.
-	Backoffs    uint64 // backoff countdowns started (one per DIFS win)
-	Retries     uint64 // retransmissions after ACK timeout
-	AckTimeouts uint64 // ACK timers that expired
-	Drops       uint64 // unicast frames dropped at the retry limit
-	SentData    uint64 // data frames put on the air
-	SentAcks    uint64 // ACK frames put on the air
-	DeliveredUp uint64 // data frames delivered to OnReceive handlers
+	Backoffs     uint64 // backoff countdowns started (one per DIFS win)
+	CSChecks     uint64 // slot-boundary carrier-sense checks scheduled by medium wakes
+	CSChecksBusy uint64 // of those, the checks that found the medium busy
+	Retries      uint64 // retransmissions after ACK timeout
+	AckTimeouts  uint64 // ACK timers that expired
+	Drops        uint64 // unicast frames dropped at the retry limit
+	SentData     uint64 // data frames put on the air
+	SentAcks     uint64 // ACK frames put on the air
+	DeliveredUp  uint64 // data frames delivered to OnReceive handlers
 }
 
 // New creates a MAC over the given medium.
@@ -147,26 +169,47 @@ type Station struct {
 	RetriesTotal uint64
 }
 
+// waitKind says which carrier-sense wait a job is sleeping in.
+type waitKind uint8
+
+const (
+	waitNone      waitKind = iota // not waiting on carrier sense
+	waitIdle                      // deferring: woken by falling edges
+	waitCountdown                 // counting down backoff: woken by rising edges
+)
+
 // txJob carries one queued frame through the contention state machine.
 // The job itself is the argument threaded through the kernel's pooled
-// ScheduleFn timers (csWait, DIFS, backoff slots, broadcast completion,
-// ACK timeout), so the per-slot timer churn that dominates event volume
-// allocates nothing.
+// ScheduleFn timers (DIFS, backoff end, carrier-sense checks, broadcast
+// completion, ACK timeout) and through the medium's carrier-sense
+// wakes, so contention allocates nothing beyond the job.
+//
+// While the job sleeps in a carrier-sense wait, origin is the start of
+// the wait's slot grid: its boundaries are origin+k·SlotTime, k ≥ 1,
+// exactly where a slot-polling MAC would look. A countdown also knows
+// its end boundary and the handle of the backoffDone timer there.
+// Checks are idempotent polls at true boundaries, so the job keeps no
+// list of them: a check that fires outside the current wait's grid
+// belongs to an earlier wait and is ignored, and lastCheck (the latest
+// boundary a check is scheduled for) only suppresses duplicate wakes.
 type txJob struct {
 	owner      *Station
 	frame      Frame
 	retries    int
 	cw         int
-	slots      int // backoff slots remaining
 	done       func(SendResult)
 	ackTimeout sim.Event
+
+	wait        waitKind
+	origin      sim.Time
+	end         sim.Time
+	lastCheck   sim.Time
+	backoffDone sim.Event
 }
 
 // ScheduleFn trampolines. Package-level functions (not closures) so
 // scheduling them is allocation-free; each recovers its state from the
 // job argument.
-func jobCSWait(a any) { j := a.(*txJob); j.owner.defer_(j) }
-
 func jobDIFSDone(a any) {
 	j := a.(*txJob)
 	s := j.owner
@@ -174,20 +217,73 @@ func jobDIFSDone(a any) {
 		s.defer_(j)
 		return
 	}
-	j.slots = s.mac.kernel.Rand().Intn(j.cw + 1)
+	slots := s.mac.kernel.Rand().Intn(j.cw + 1)
 	s.mac.Backoffs++
-	s.backoff(j)
+	s.countdown(j, slots)
 }
 
-func jobBackoffSlot(a any) {
+// jobBackoffDone is the countdown's last slot boundary: the final
+// check, then the frame goes out.
+func jobBackoffDone(a any) {
 	j := a.(*txJob)
 	s := j.owner
+	j.backoffDone = sim.Event{} // fired: nothing left to cancel
 	if s.mac.medium.Busy(s.radio) {
-		s.defer_(j) // freeze: re-contend after the medium clears
+		s.freeze(j)
 		return
 	}
-	j.slots--
-	s.backoff(j)
+	s.stopWait(j)
+	s.transmit(j)
+}
+
+// jobSenseWake is the medium's carrier-sense wake (radio.WatchSense):
+// the sensed energy may change from instant at on, so check it at the
+// first boundary of the wait's grid at or after at.
+func jobSenseWake(a any, at sim.Time) {
+	j := a.(*txJob)
+	k := j.owner.mac.kernel
+	now := k.Now()
+	if at < now {
+		at = now
+	}
+	n := (at - j.origin + SlotTime - 1) / SlotTime
+	if n < 1 {
+		n = 1
+	}
+	b := j.origin + n*SlotTime
+	if j.wait == waitCountdown && b >= j.end {
+		return // the countdown's own final check at end covers it
+	}
+	if b == j.lastCheck {
+		return
+	}
+	if b > j.lastCheck {
+		j.lastCheck = b
+	}
+	k.ScheduleFn(b-now, "mac.csCheck", jobCSCheck, j)
+}
+
+// jobCSCheck is one carrier-sense check at a slot boundary.
+func jobCSCheck(a any) {
+	j := a.(*txJob)
+	s := j.owner
+	now := s.mac.kernel.Now()
+	if j.wait == waitNone || now <= j.origin || (now-j.origin)%SlotTime != 0 ||
+		(j.wait == waitCountdown && now >= j.end) {
+		return // scheduled for an earlier wait's grid
+	}
+	s.mac.CSChecks++
+	if !s.mac.medium.Busy(s.radio) {
+		if j.wait == waitIdle {
+			s.stopWait(j)
+			s.mac.kernel.ScheduleFn(DIFS, "mac.difs", jobDIFSDone, j)
+		}
+		return
+	}
+	s.mac.CSChecksBusy++
+	if j.wait == waitCountdown {
+		s.freeze(j)
+	}
 }
 
 func jobBcastDone(a any) {
@@ -267,20 +363,50 @@ func (s *Station) dequeue() {
 // defer_ waits for the medium to go idle, then DIFS, then backoff.
 func (s *Station) defer_(job *txJob) {
 	if s.mac.medium.Busy(s.radio) {
-		s.mac.kernel.ScheduleFn(SlotTime, "mac.csWait", jobCSWait, job)
+		s.awaitIdle(job)
 		return
 	}
 	s.mac.kernel.ScheduleFn(DIFS, "mac.difs", jobDIFSDone, job)
 }
 
-// backoff counts down job.slots idle slots, freezing when the medium
-// goes busy.
-func (s *Station) backoff(job *txJob) {
-	if job.slots <= 0 {
+// awaitIdle sleeps until the first slot boundary at which the medium,
+// busy now, reads idle; the grid starts now.
+func (s *Station) awaitIdle(job *txJob) {
+	now := s.mac.kernel.Now()
+	job.wait, job.origin, job.lastCheck = waitIdle, now, now
+	s.mac.medium.WatchSense(s.radio, radio.SenseFall, jobSenseWake, job)
+}
+
+// countdown counts down slots idle slot boundaries from now and then
+// transmits, freezing at the first busy boundary.
+func (s *Station) countdown(job *txJob, slots int) {
+	if slots <= 0 {
 		s.transmit(job)
 		return
 	}
-	s.mac.kernel.ScheduleFn(SlotTime, "mac.backoff", jobBackoffSlot, job)
+	now := s.mac.kernel.Now()
+	d := sim.Time(slots) * SlotTime
+	job.wait, job.origin, job.end, job.lastCheck = waitCountdown, now, now+d, now
+	job.backoffDone = s.mac.kernel.ScheduleFn(d, "mac.backoffDone", jobBackoffDone, job)
+	s.mac.medium.WatchSense(s.radio, radio.SenseRise, jobSenseWake, job)
+}
+
+// freeze abandons a countdown at a busy boundary: 802.11 re-contends
+// after the medium clears (defer, DIFS, a fresh draw).
+func (s *Station) freeze(job *txJob) {
+	s.stopWait(job)
+	s.awaitIdle(job) // the boundary just read busy
+}
+
+// stopWait ends the job's carrier-sense wait, if any.
+func (s *Station) stopWait(job *txJob) {
+	if job.wait == waitNone {
+		return
+	}
+	s.mac.kernel.Cancel(job.backoffDone) // no-op for the zero Event
+	job.backoffDone = sim.Event{}
+	s.mac.medium.UnwatchSense(s.radio)
+	job.wait = waitNone
 }
 
 // pickRate selects the PHY rate for a frame: base rate for broadcast,
@@ -340,6 +466,7 @@ func (s *Station) onAckTimeout(job *txJob) {
 }
 
 func (s *Station) finishJob(job *txJob, res SendResult) {
+	s.stopWait(job)
 	s.mac.kernel.Cancel(job.ackTimeout) // no-op for the zero Event
 	job.ackTimeout = sim.Event{}
 	if job.done != nil {

@@ -93,13 +93,16 @@ func (m *Medium) faultLossDB(src, rx *Radio) float64 {
 }
 
 // invalidateLinkGains marks every cached pairwise gain stale by bumping
-// every radio's linkGen, plus physGen for the sharded mid-commit watch.
-// O(radios), paid only when a jam or partition window opens or closes;
-// candidate sets are untouched (they are cell-conservative supersets —
-// membership never depends on fault loss, only the exact gains do).
+// every radio's linkGen, plus physGen for the sharded mid-commit watch,
+// and wakes every carrier-sense watcher: any link may be louder or
+// quieter now. O(radios), paid only when a jam or partition window
+// opens or closes; candidate sets are untouched (they are
+// cell-conservative supersets — membership never depends on fault
+// loss, only the exact gains do).
 func (m *Medium) invalidateLinkGains() {
 	for _, r := range m.ordered {
 		r.bumpLinkGen()
 	}
 	m.physGen++
+	m.wakeAll()
 }

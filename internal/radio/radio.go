@@ -55,6 +55,17 @@
 // deterministic ID order) as a reference mode for benchmarks and physics
 // cross-checks.
 //
+// # Carrier-sense edges
+//
+// Busy is exact at any instant, but a MAC that needs it at every slot
+// boundary would re-sum the medium's energy ~50,000 times per simulated
+// second per station. Instead a radio can carry one carrier-sense
+// watcher (WatchSense), which the medium wakes at the mutations that
+// can move the radio's sensed energy up (a hearer's frame becoming
+// detectable, moves, retunes, fault windows) or down (a hearer's frame
+// ending, moves, retunes, fault windows); between them every Busy
+// reading equals the last one. See sense.go.
+//
 // # Allocation discipline
 //
 // The delivery hot path is allocation-free in steady state: interference
@@ -312,6 +323,12 @@ type Radio struct {
 	// radio can neither transmit nor receive. A depth, not a bool, so
 	// overlapping fault windows nest correctly.
 	down int
+
+	// sense is the radio's carrier-sense watcher (sense.go); airborne
+	// counts its own frames in flight, so a move or retune knows whether
+	// other watchers must re-check.
+	sense    senseWatch
+	airborne int
 }
 
 // pairGain is one directed cached link budget: the received power at
@@ -365,13 +382,21 @@ func (r *Radio) syncGainPower() {
 // cutoff, only a move that crosses a grid-cell boundary invalidates
 // caches — and only those whose coverage includes the source or
 // destination cell (geo.Grid's per-cell generations).
+//
+// A move is a carrier-sense edge (sense.go): the radio's own watcher
+// re-checks, and so do the watchers hearing its in-flight frames from
+// the old or the new position.
 func (r *Radio) SetPos(p geo.Point) {
 	if p == r.Pos {
 		return
 	}
+	m := r.medium
+	wakeSrc := m != nil && m.watching > 0 && r.airborne > 0 && m.attached(r)
+	if wakeSrc {
+		m.wakeAirborne(r, SenseFall) // hearers at the old position
+	}
 	r.Pos = p
 	r.bumpLinkGen() // all cached link gains to and from this radio are stale
-	m := r.medium
 	if m == nil {
 		return
 	}
@@ -388,12 +413,24 @@ func (r *Radio) SetPos(p geo.Point) {
 			m.topoGen++
 		}
 	}
+	m.senseMoved(r, wakeSrc)
+}
+
+// senseMoved delivers the carrier-sense edges of a move or retune that
+// has just been applied to r: wakeSrc says whether r has frames in
+// flight that other watchers hear.
+func (m *Medium) senseMoved(r *Radio, wakeSrc bool) {
+	if wakeSrc {
+		m.wakeAirborne(r, SenseRise) // hearers at the new position or channel
+	}
+	m.wakeWatcher(r)
 }
 
 // SetChannel retunes the radio, clamping to the legal range and keeping
 // the medium's channel partition in sync. A retune invalidates only the
 // candidate caches whose 5-channel overlap window touches the old or new
 // channel; radios spectrally out of reach keep their caches.
+// Like a move, a retune is a carrier-sense edge.
 func (r *Radio) SetChannel(ch int) {
 	ch = clampChannel(ch)
 	if ch == r.Channel {
@@ -403,6 +440,10 @@ func (r *Radio) SetChannel(ch int) {
 		m.physGen++
 	}
 	if m := r.medium; m != nil && m.attached(r) {
+		wakeSrc := m.watching > 0 && r.airborne > 0
+		if wakeSrc {
+			m.wakeAirborne(r, SenseFall) // hearers on the old channel
+		}
 		m.channelRemove(r)
 		old := r.Channel
 		r.Channel = ch
@@ -413,6 +454,7 @@ func (r *Radio) SetChannel(ch int) {
 			m.chanGen[old]++
 			m.chanGen[ch]++
 		}
+		m.senseMoved(r, wakeSrc)
 		return
 	}
 	r.Channel = ch
@@ -492,6 +534,10 @@ type Medium struct {
 	// active holds in-flight transmissions in ascending Seq order, so
 	// energy and interference sums always accumulate identically.
 	active []*Transmission
+
+	// watching counts the radios with a carrier-sense watcher
+	// (sense.go); the edge passes are skipped entirely while it is 0.
+	watching int
 
 	// ledgerFree recycles interference ledgers across transmissions;
 	// ledgerEpoch stamps each tenancy (see ledger).
@@ -686,11 +732,13 @@ func (m *Medium) channelRemove(r *Radio) {
 }
 
 // Detach removes a radio from the medium; in-flight transmissions to it
-// are not delivered.
+// are not delivered, and from then on it senses only the noise floor —
+// an edge its carrier-sense watcher, if any, is woken for.
 func (m *Medium) Detach(r *Radio) {
 	if !m.attached(r) {
 		return
 	}
+	defer m.wakeWatcher(r)
 	m.byID[r.ID] = nil
 	i := sort.Search(len(m.ordered), func(i int) bool { return m.ordered[i].ID >= r.ID })
 	if i < len(m.ordered) && m.ordered[i] == r {
@@ -1017,6 +1065,9 @@ func (m *Medium) releaseLedger(l *ledger) {
 // across runs and to the uncached computation.
 func (m *Medium) energyAtMW(r *Radio) float64 {
 	total, _ := m.noiseFloor()
+	if !m.attached(r) {
+		return total // off the medium: no transmission reaches it
+	}
 	now := m.kernel.Now()
 	for _, tx := range m.active {
 		if tx.Src.ID == r.ID {
@@ -1112,6 +1163,12 @@ func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmis
 		}
 	}
 	m.active = append(m.active, tx) // Seq is monotonic: stays sorted
+	r.airborne++
+	if m.watching > 0 {
+		// Rising edge: the frame becomes detectable to its hearers after
+		// the sensing delay.
+		m.wakeHearers(r, hearers, tx.range2, SenseRise, tx.Start+SensingDelay)
+	}
 	m.Sent++
 	lane := 0
 	if sh := m.shard; sh != nil && sh.rm != nil {
@@ -1160,6 +1217,7 @@ func (m *Medium) finish(tx *Transmission) {
 	// O(log active), not a linear scan.
 	if i := sort.Search(len(m.active), func(i int) bool { return m.active[i].Seq >= tx.Seq }); i < len(m.active) && m.active[i] == tx {
 		m.active = append(m.active[:i], m.active[i+1:]...)
+		tx.Src.airborne--
 	}
 	noiseMW, _ := m.noiseFloor()
 	// The candidate snapshot is immutable: OnReceive callbacks may
@@ -1181,6 +1239,12 @@ func (m *Medium) finish(tx *Transmission) {
 		}
 		m.rxScratch = inRange[:0]
 		receivers = inRange
+	}
+	if m.watching > 0 && tx.End-tx.Start >= SensingDelay {
+		// Falling edge for every hearer the frame was detectable to; the
+		// wakes only schedule, so they run before delivery in both
+		// execution modes.
+		m.wakeHearers(tx.Src, receivers, tx.range2, SenseFall, m.kernel.Now())
 	}
 	if len(receivers) >= shardMinFanout && m.shardReady() {
 		m.finishSharded(tx, receivers, noiseMW)

@@ -66,7 +66,7 @@ func (r *Registry) Snapshot(atNanos int64) *Snapshot {
 			is.Count = in.ht.Ops()
 		}
 		if in.kind.sampled() {
-			is.Series = in.series.pts
+			is.Series = in.series.points(r.t0, r.period, r.samples-in.series.phase)
 		}
 		s.Instruments = append(s.Instruments, is)
 	}

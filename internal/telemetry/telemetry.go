@@ -112,14 +112,16 @@ type Point struct {
 	V float64 `json:"v"`
 }
 
-// series is a bounded, deterministically decimated point list.
+// series is a bounded, deterministically decimated value list. Sample
+// times are not stored: the registry samples on a fixed period, so the
+// time of every retained value follows from its position (see points).
 type series struct {
-	pts    []Point
+	vals   []float64
 	stride uint64 // record every stride-th sample; doubles on decimation
-	phase  uint64 // samples seen modulo nothing; compared against stride
+	phase  uint64 // samples seen; compared against stride
 }
 
-func (s *series) add(t int64, v float64) {
+func (s *series) add(v float64) {
 	if s.stride == 0 {
 		s.stride = 1
 	}
@@ -127,18 +129,38 @@ func (s *series) add(t int64, v float64) {
 	if s.phase%s.stride != 0 {
 		return
 	}
-	if len(s.pts) >= maxPoints {
-		// Keep odd positions: with the stride doubling below, the
-		// retained points are exactly the samples a fresh series with
-		// the doubled stride would have kept.
-		kept := s.pts[:0]
-		for i := 1; i < len(s.pts); i += 2 {
-			kept = append(kept, s.pts[i])
+	if len(s.vals) >= maxPoints {
+		// Keep odd positions: with the stride doubled, the retained
+		// values are exactly the samples a fresh series with the doubled
+		// stride would have kept — and so is the current sample, only
+		// if it falls on the doubled stride.
+		kept := s.vals[:0]
+		for i := 1; i < len(s.vals); i += 2 {
+			kept = append(kept, s.vals[i])
 		}
-		s.pts = kept
+		s.vals = kept
 		s.stride *= 2
+		if s.phase%s.stride != 0 {
+			return
+		}
 	}
-	s.pts = append(s.pts, Point{T: t, V: v})
+	s.vals = append(s.vals, v)
+}
+
+// points materializes the series. The i-th retained value is the
+// series' ((i+1)·stride)-th sample; skip is the number of registry
+// samples taken before the series saw its first, so that sample is the
+// registry's (skip + (i+1)·stride − 1)-th, 0-based, at t0 + that·period.
+func (s *series) points(t0, period int64, skip uint64) []Point {
+	if len(s.vals) == 0 {
+		return nil
+	}
+	pts := make([]Point, len(s.vals))
+	for i, v := range s.vals {
+		n := skip + uint64(i+1)*s.stride - 1
+		pts[i] = Point{T: t0 + int64(n)*period, V: v}
+	}
+	return pts
 }
 
 // instrument is one registered metric.
@@ -189,6 +211,11 @@ type Registry struct {
 	gauges   []float64
 	insts    []*instrument
 	names    map[string]bool // identity keys, duplicate registration guard
+
+	// Sample clock: the first sample's time, the fixed period between
+	// samples (set by the second), and the number of samples taken.
+	t0, period int64
+	samples    uint64
 }
 
 // New creates an empty registry.
@@ -296,13 +323,29 @@ func (r *Registry) HostTimer(name string, labels ...Label) *HostTimer {
 // Sample records the current value of every sampled sim-plane
 // instrument into its sim-time series at virtual time atNanos. It must
 // run on the kernel goroutine; the world's kernel sampler calls it on a
-// fixed virtual-time period.
+// fixed virtual-time period. The period is part of the contract — the
+// series store values only and derive each point's time from the first
+// sample and the period — so Sample panics on unevenly spaced calls.
 func (r *Registry) Sample(atNanos int64) {
+	switch r.samples {
+	case 0:
+		r.t0 = atNanos
+	case 1:
+		r.period = atNanos - r.t0
+		if r.period <= 0 {
+			panic("telemetry: Sample times must strictly increase")
+		}
+	default:
+		if atNanos != r.t0+int64(r.samples)*r.period {
+			panic("telemetry: Sample must be called on a fixed period")
+		}
+	}
+	r.samples++
 	for _, in := range r.insts {
 		if !in.kind.sampled() {
 			continue
 		}
-		in.series.add(atNanos, r.scalar(in))
+		in.series.add(r.scalar(in))
 	}
 }
 

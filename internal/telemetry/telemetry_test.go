@@ -291,3 +291,113 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		t.Fatalf("hot-path allocs/op = %v, want 0", n)
 	}
 }
+
+// pointSeries stores a timestamp with every retained sample — the
+// series layout before values-only storage, with the same decimation
+// rule. It is the reference the derived timestamps are checked against.
+type pointSeries struct {
+	pts    []Point
+	stride uint64
+	phase  uint64
+}
+
+func (s *pointSeries) add(t int64, v float64) {
+	if s.stride == 0 {
+		s.stride = 1
+	}
+	s.phase++
+	if s.phase%s.stride != 0 {
+		return
+	}
+	if len(s.pts) >= maxPoints {
+		kept := s.pts[:0]
+		for i := 1; i < len(s.pts); i += 2 {
+			kept = append(kept, s.pts[i])
+		}
+		s.pts = kept
+		s.stride *= 2
+		if s.phase%s.stride != 0 {
+			return
+		}
+	}
+	s.pts = append(s.pts, Point{T: t, V: v})
+}
+
+// TestSeriesDerivedTimesMatchStoredPoints: a values-only series must
+// export exactly the (T, V) points a series storing both would, before
+// and across decimation, for an instrument registered before the first
+// sample and for one registered mid-run.
+func TestSeriesDerivedTimesMatchStoredPoints(t *testing.T) {
+	const t0, period = 5000, 100
+	for _, n := range []int{1, 2, maxPoints, maxPoints + 1, 2*maxPoints + 2, 5*maxPoints + 3} {
+		r := New()
+		g := r.Gauge("g.early")
+		var early, late pointSeries
+		var lateG Gauge
+		for i := 0; i < n; i++ {
+			if i == 7 {
+				lateG = r.Gauge("g.late")
+			}
+			at := int64(t0 + i*period)
+			v := float64(i*i%977) - 0.5
+			g.Set(v)
+			lateG.Set(-v)
+			r.Sample(at)
+			early.add(at, v)
+			if i >= 7 {
+				late.add(at, -v)
+			}
+		}
+		snap := r.Snapshot(0)
+		for _, in := range snap.Instruments {
+			want := early.pts
+			if in.Name == "g.late" {
+				want = late.pts
+			}
+			if len(in.Series) != len(want) {
+				t.Fatalf("n=%d %s: %d points, want %d", n, in.Name, len(in.Series), len(want))
+			}
+			for i := range want {
+				if in.Series[i] != want[i] {
+					t.Fatalf("n=%d %s: point %d = %v, want %v", n, in.Name, i, in.Series[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSeriesDecimationKeepsStrideGrid: after any number of decimations
+// the retained samples are exactly every stride-th sample, as a fresh
+// series with the final stride would have kept them.
+func TestSeriesDecimationKeepsStrideGrid(t *testing.T) {
+	r := New()
+	c := r.Counter("k.n_total")
+	const n = 5*maxPoints + 3
+	for i := 1; i <= n; i++ {
+		c.Inc()
+		r.Sample(int64(i))
+	}
+	pts := r.Snapshot(0).Instruments[0].Series
+	const stride = 8 // the smallest power of two with n/stride <= maxPoints
+	if len(pts) != n/stride {
+		t.Fatalf("%d points, want %d", len(pts), n/stride)
+	}
+	for i, p := range pts {
+		if want := int64((i + 1) * stride); p.T != want || p.V != float64(want) {
+			t.Fatalf("point %d = %v, want {%d %d}", i, p, want, want)
+		}
+	}
+}
+
+func TestSampleRejectsUnevenPeriod(t *testing.T) {
+	r := New()
+	r.Gauge("g")
+	r.Sample(100)
+	r.Sample(200)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("uneven sample spacing did not panic")
+		}
+	}()
+	r.Sample(250)
+}

@@ -80,7 +80,7 @@ func benchWorldSharded(b *testing.B, n, shards int) {
 }
 
 // The seq/shards pairs run the same workload; benchgate gates both arms
-// (BENCH_PR8.json baseline), so neither sequential performance nor the
+// (the checked-in baseline scripts/bench.sh records), so neither sequential performance nor the
 // sharded mode's coordination overhead may silently regress, and the
 // allocs/op gate pins the zero-allocation per-event hot path.
 

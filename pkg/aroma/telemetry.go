@@ -107,6 +107,8 @@ func (w *World) registerInstruments(reg *telemetry.Registry) {
 	// MAC: contention and reliability aggregates.
 	mc := w.mac
 	reg.CounterFunc("mac.backoffs_total", func() uint64 { return mc.Backoffs })
+	reg.CounterFunc("mac.cs_checks_total", func() uint64 { return mc.CSChecks })
+	reg.CounterFunc("mac.cs_checks_busy_total", func() uint64 { return mc.CSChecksBusy })
 	reg.CounterFunc("mac.retries_total", func() uint64 { return mc.Retries })
 	reg.CounterFunc("mac.ack_timeouts_total", func() uint64 { return mc.AckTimeouts })
 	reg.CounterFunc("mac.drops_total", func() uint64 { return mc.Drops })

@@ -2,12 +2,12 @@
 # bench.sh — record the repo's performance trajectory.
 #
 # Runs the hot-path benchmarks (kernel event queue, dense/mobile radio
-# medium, world-level sequential-vs-sharded execution) at a
-# statistically useful count, plus every root figure/claim benchmark
-# once, and folds the output into a JSON record via cmd/benchgate. The
-# checked-in BENCH_PR8.json was produced by this script; CI re-runs the
-# gated subset and compares against it (see .github/workflows/ci.yml
-# "Benchmark regression gate").
+# medium, MAC contention, world-level sequential-vs-sharded execution)
+# at a statistically useful count, plus every root figure/claim
+# benchmark once, and folds the output into a JSON record via
+# cmd/benchgate. The checked-in BENCH_PR14.json was produced by this
+# script; CI re-runs the gated subset and compares against it (see
+# .github/workflows/ci.yml "Benchmark regression gate").
 #
 # Usage:
 #   scripts/bench.sh [out.json]
@@ -20,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=${1:-BENCH_PR8.json}
+out=${1:-BENCH_PR14.json}
 count=${COUNT:-3}
 benchtime=${BENCHTIME:-0.5s}
 tmp=$(mktemp)
@@ -33,6 +33,10 @@ go test -run '^$' -bench 'BenchmarkKernel' -benchmem \
 echo "== radio medium, dense + mobile (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench 'BenchmarkMediumDense' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/radio/ | tee -a "$tmp"
+
+echo "== MAC contention (count=$count, benchtime=$benchtime)"
+go test -run '^$' -bench 'BenchmarkMACContention' -benchmem \
+    -count "$count" -benchtime "$benchtime" ./internal/mac/ | tee -a "$tmp"
 
 echo "== checkpoint snapshot/restore, dense-500 (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench 'BenchmarkCheckpoint' -benchmem \
@@ -52,4 +56,4 @@ if [[ "${SKIP_ROOT:-0}" != 1 ]]; then
 fi
 
 go run ./cmd/benchgate -emit "$out" -in "$tmp" \
-    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkCheckpoint*, BenchmarkWorldSharded*, BenchmarkTelemetry*"
+    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkMACContention, BenchmarkCheckpoint*, BenchmarkWorldSharded*, BenchmarkTelemetry*"
